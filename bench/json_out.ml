@@ -20,8 +20,18 @@ let enabled () = Option.is_some !path
 
 let load file =
   if Sys.file_exists file then
-    match Json.of_file file with Ok (Json.Obj _ as o) -> o | Ok _ | Error _ -> Json.Obj []
+    match Json.of_file file with
+    | Ok (Json.Obj _ as o) -> o
+    | Ok _ | Error _ | (exception Sys_error _) -> Json.Obj []
   else Json.Obj []
+
+(* An unwritable output path is a usage error, not a crash: one
+   diagnostic line naming the path, exit 1. *)
+let write file json =
+  try Json.to_file file json
+  with Sys_error msg ->
+    Printf.eprintf "bench: cannot write %s\n" msg;
+    exit 1
 
 (* Merges [fields] into the [section] object of the output file,
    creating both as needed.  Writes through immediately: a crashed or
@@ -41,7 +51,7 @@ let record ~section fields =
       let section_obj =
         List.fold_left (fun acc (k, v) -> Json.set k v acc) section_obj fields
       in
-      Json.to_file file (Json.set section section_obj root)
+      write file (Json.set section section_obj root)
 
 (* Host wall-clock of one thunk, in milliseconds.  The whole harness is
    single-threaded CPU-bound work, so [Sys.time] (CPU seconds) is the

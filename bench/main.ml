@@ -421,7 +421,7 @@ let compare_files ~threshold ~alloc_threshold ~json baseline candidate =
   let failed = !regressions <> [] in
   Option.iter
     (fun file ->
-      Json.to_file file
+      Json_out.write file
         (Json.Obj
            [
              ("schema", Json.String "cliffedge-bench-compare/1");
@@ -511,13 +511,13 @@ let parsweep_command rest =
      an honest 0.63x on a 1-core container): clamp to the runtime's
      recommendation.  The warning names the requested count but not the
      machine-dependent cap, keeping stderr cram-stable. *)
-  let cap = Domain.recommended_domain_count () in
-  if !domains > cap then begin
+  let effective = Cliffedge_par.Par.effective_domains !domains in
+  if effective < !domains then begin
     Printf.eprintf
       "bench: parsweep: %d domain(s) requested, clamping to the recommended \
        domain count for this machine\n"
       !domains;
-    domains := cap
+    domains := effective
   end;
   Par_sweep.run ~domains:!domains ~seeds:!seeds
 

@@ -258,14 +258,10 @@ let check_cd7 graph geometry correct ~quiescent ~crash_ev ~stall_evs by_node =
 let check ?(value_equal = (( = ) [@lint.allow "no-poly-compare"]))
     (outcome : 'v Runner.outcome) =
   let graph = outcome.graph in
-  (* The runner hands over the incrementally-maintained geometry; only
-     fabricated outcomes (tests, the exhaustive explorer) fall back to
-     the batch recomputation. *)
-  let geometry =
-    match outcome.geometry with
-    | Some g -> g
-    | None -> Fault_geometry.compute graph ~faulty:outcome.crashed
-  in
+  (* The geometry is always recomputed from the ground-truth crashed
+     set, never taken from the run it judges: the oracle shares no
+     state with the system under test. *)
+  let geometry = Fault_geometry.compute graph ~faulty:outcome.crashed in
   let correct = Node_set.diff (Graph.nodes graph) outcome.crashed in
   let crash_time = crash_times outcome.crashes in
   let by_node = decisions_by_node outcome.decisions in

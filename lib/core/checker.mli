@@ -43,7 +43,11 @@ type report = {
 val ok : report -> bool
 
 val check : ?value_equal:('v -> 'v -> bool) -> 'v Runner.outcome -> report
-(** Verifies all seven properties.  [value_equal] (default structural
-    equality) compares decision values for CD5. *)
+(** Verifies all seven properties.  The fault geometry CD3 and CD7 are
+    judged against is recomputed ({!Fault_geometry.compute}) from the
+    outcome's ground-truth [crashed] set, the same way for real and
+    fabricated outcomes; nothing the run computed about its own faults
+    is trusted.  [value_equal] (default structural equality) compares
+    decision values for CD5. *)
 
 val pp_report : Format.formatter -> report -> unit

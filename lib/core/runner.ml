@@ -59,7 +59,6 @@ type 'v outcome = {
   stalled_channels : (Node_id.t * Node_id.t) list;
   states : (Node_id.t * 'v Protocol.state) list;
   obs : Obs.Log.t;
-  geometry : Fault_geometry.t option;
 }
 
 (* A runner-pluggable node: the runner is generic in the machine it
@@ -109,13 +108,9 @@ let run_stepper ?(options = default_options) ~graph ~crashes ~make () =
       if not (Node_set.mem p active) then
         invalid_arg "Runner.run: crash schedule names a node outside active_nodes")
     crashes;
-  (* Geometry deltas ride the crash-injection thunks, so the tracker is
-     exact at every simulated instant and the final snapshot costs the
-     checker nothing to consume. *)
-  let geom_tracker = Incr_geometry.create graph in
   let substrate =
-    Substrate.create ~channel:options.channel ~geometry:geom_tracker
-      ~seed:options.seed ~message_latency:options.message_latency
+    Substrate.create ~channel:options.channel ~seed:options.seed
+      ~message_latency:options.message_latency
       ~detection_latency:options.detection_latency
       ~channel_consistent_fd:options.channel_consistent_fd ()
   in
@@ -302,7 +297,6 @@ let run_stepper ?(options = default_options) ~graph ~crashes ~make () =
     stalled_channels = Substrate.stalled_channels substrate;
     states;
     obs;
-    geometry = Some (Incr_geometry.snapshot geom_tracker);
   }
 
 let run ?(options = default_options) ?rank ~graph ~crashes ~propose_value () =

@@ -89,12 +89,6 @@ type 'v outcome = {
           causally linked (see {!Cliffedge_obs.Event}); feed it to
           {!Cliffedge_obs.Metrics.of_log} or the
           {!Cliffedge_obs.Export} family *)
-  geometry : Fault_geometry.t option;
-      (** final fault geometry, maintained incrementally during the run
-          ({!Cliffedge_graph.Incr_geometry}) and snapshotted at
-          quiescence; [None] only for outcomes fabricated outside the
-          runner.  The checker consumes this instead of recomputing
-          connected components over the whole faulty set. *)
 }
 
 val run :

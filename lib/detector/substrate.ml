@@ -44,13 +44,9 @@ type 'a t = {
   (* Cells of the open [batched] scope in reverse first-touch order;
      [None] outside any scope (sends dispatch immediately). *)
   mutable batch : 'a batch_cell list option;
-  (* Incremental fault-geometry tracker fed from the same injection
-     thunk that crashes the conduit and the detector, so the geometry
-     is updated at exactly the simulated instant the crash happens. *)
-  geometry : Incr_geometry.t option;
 }
 
-let create ?(channel = Transport.Reliable) ?geometry ~seed ~message_latency
+let create ?(channel = Transport.Reliable) ~seed ~message_latency
     ~detection_latency ~channel_consistent_fd () =
   let engine = Engine.create () in
   let obs = Obs.Log.create () in
@@ -88,8 +84,7 @@ let create ?(channel = Transport.Reliable) ?geometry ~seed ~message_latency
     Failure_detector.create ~engine ~rng:fd_rng ~latency:detection_latency
       ?channel_floor ()
   in
-  { engine; conduit; detector; obs; crash_seq = Hashtbl.create 16; batch = None;
-    geometry }
+  { engine; conduit; detector; obs; crash_seq = Hashtbl.create 16; batch = None }
 
 let dispatch_envelope t ~units ~src ~dst env =
   match t.conduit with
@@ -202,8 +197,7 @@ let schedule_crashes t crashes =
              in
              Hashtbl.replace t.crash_seq (Node_id.to_int p) seq;
              crash_node t p;
-             Failure_detector.inject_crash t.detector p;
-             Option.iter (fun g -> Incr_geometry.crash g p) t.geometry)))
+             Failure_detector.inject_crash t.detector p)))
     crashes
 
 let run ?(false_suspicions = []) ~max_events t =

@@ -45,12 +45,10 @@ type 'a t = {
   obs : Cliffedge_obs.Log.t;
   crash_seq : (int, int) Hashtbl.t;
   mutable batch : 'a batch_cell list option;
-  geometry : Cliffedge_graph.Incr_geometry.t option;
 }
 
 val create :
   ?channel:Cliffedge_net.Transport.channel ->
-  ?geometry:Cliffedge_graph.Incr_geometry.t ->
   seed:int ->
   message_latency:Cliffedge_net.Latency.t ->
   detection_latency:Cliffedge_net.Latency.t ->
@@ -62,10 +60,7 @@ val create :
     which is bit-identical (PRNG stream included) to the pre-fault
     substrate.  When [channel_consistent_fd] is set, the detector's
     flush floor is taken from the conduit — over ARQ that floor
-    accounts for pending retransmissions ({!Cliffedge_net.Transport.flush_time}).
-    When [geometry] is supplied, each scheduled crash also feeds the
-    incremental fault-geometry tracker, inside the same injection thunk
-    that crashes the conduit and the detector. *)
+    accounts for pending retransmissions ({!Cliffedge_net.Transport.flush_time}). *)
 
 val send : 'a t -> ?units:int -> src:Node_id.t -> dst:Node_id.t -> 'a -> unit
 (** Records a [Send] event and hands the wrapped payload to the

@@ -28,6 +28,9 @@ let check_domains domains =
 
 let default_domains () = Int.max 1 (Domain.recommended_domain_count ())
 
+let effective_domains ?(recommended = default_domains ()) requested =
+  Int.min requested recommended
+
 (* A worker exception must not leave sibling domains unjoined: every
    spawn is joined exactly once, and the first failure (lowest stripe,
    matching the deterministic contract) is re-raised after the join

@@ -23,6 +23,13 @@ val default_domains : unit -> int
 (** The runtime's recommended domain count for this machine, at least
     1.  A sensible default for [~domains]. *)
 
+val effective_domains : ?recommended:int -> int -> int
+(** [effective_domains requested] is [min requested recommended]: a
+    request above the machine's [recommended] count (default
+    {!default_domains}) is clamped to it, since oversubscribed domains
+    only add scheduler thrash; a request at or below it is kept, so
+    [1] is never clamped. *)
+
 val map : domains:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~domains f xs] is [List.map f xs] computed on [domains]
     domains ([domains - 1] spawned plus the calling one).  Results are

@@ -29,13 +29,13 @@ let () =
       Test_codec.suite;
       Test_repair.suite;
       Test_timeline_csv.suite;
-      Test_dsu.suite;
       Test_membership.suite;
       Test_protocol_invariants.suite;
       Test_printers.suite;
       Test_properties.suite;
       Test_transport.suite;
       Test_obs.suite;
+      Test_par.suite;
       Test_lint_fixpoint.suite;
       Test_alloc_certifier.suite;
       Test_differential.suite;

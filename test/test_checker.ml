@@ -43,8 +43,6 @@ let make_outcome ?(decisions = base_decisions) ?(quiescent = true)
     stalled_channels = [];
     states = [];
     obs = Cliffedge_obs.Log.create ();
-    (* Fabricated outcome: the checker falls back to batch recompute. *)
-    geometry = None;
   }
 
 let has_violation report property =
@@ -100,6 +98,43 @@ let test_cd3_faraway_message () =
   Cliffedge_net.Stats.record_send stats ~src:(n 0) ~dst:(n 6) ~units:1;
   let report = Checker.check (make_outcome ~stats ()) in
   Alcotest.(check bool) "cd3 fires" true (has_violation report Checker.CD3_locality)
+
+(* The checker recomputes the fault geometry of every run it judges,
+   so it must stay exact where node sets are wide: a real confined run
+   on an 8-node region near the top of a 100k-node implicit ring is
+   clean, and one fabricated send from the region's border to a node
+   outside every envelope is reported as CD3. *)
+let test_cd3_at_high_ids () =
+  let graph = Topology.implicit_ring 100_000 in
+  let region =
+    Cliffedge_workload.Fault_gen.compact_region graph ~seed_node:(n 99_500) ~size:8
+  in
+  Alcotest.(check bool) "region lies at high ids" true
+    (Node_id.to_int (Node_set.min_elt region) >= 99_000);
+  let options =
+    {
+      Runner.default_options with
+      active_nodes = Some (Graph.closed_neighbourhood graph region);
+    }
+  in
+  let outcome =
+    Runner.run ~options ~graph
+      ~crashes:(Cliffedge_workload.Fault_gen.crash_at 10.0 region)
+      ~propose_value:Cliffedge.Scenario.default_propose ()
+  in
+  let report = Checker.check outcome in
+  Alcotest.(check (list string)) "no violation" []
+    (List.map (fun v -> v.Checker.description) report.Checker.violations);
+  Alcotest.(check bool) "border decided" true (report.Checker.decisions_checked > 0);
+  Alcotest.(check bool) "pairs checked" true (report.Checker.pairs_checked > 0);
+  let src = Node_set.min_elt (Graph.border graph region) in
+  Cliffedge_net.Stats.record_send outcome.Runner.stats ~src ~dst:(n 99_900) ~units:1;
+  let report = Checker.check outcome in
+  Alcotest.(check bool) "cd3 fires" true (has_violation report Checker.CD3_locality);
+  Alcotest.(check bool) "only cd3 fires" true
+    (List.for_all
+       (fun v -> v.Checker.property = Checker.CD3_locality)
+       report.Checker.violations)
 
 let test_cd4_missing_peer_decision () =
   let decisions =
@@ -214,6 +249,7 @@ let suite =
       Alcotest.test_case "cd2 not border" `Quick test_cd2_not_border;
       Alcotest.test_case "cd2 disconnected" `Quick test_cd2_disconnected_view;
       Alcotest.test_case "cd3 faraway message" `Quick test_cd3_faraway_message;
+      Alcotest.test_case "cd3 at high ids" `Quick test_cd3_at_high_ids;
       Alcotest.test_case "cd4 missing decision" `Quick test_cd4_missing_peer_decision;
       Alcotest.test_case "cd5 value disagreement" `Quick test_cd5_value_disagreement;
       Alcotest.test_case "cd5 view disagreement" `Quick test_cd5_view_disagreement;
