@@ -57,11 +57,28 @@ let topology_arg =
 let seed_arg =
   Arg.(value & opt int 0 & info [ "s"; "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
 
+(* A crashed region must leave a correct node: sizes outside
+   [1, nodes - 1] are usage errors, reported through cmdliner's error
+   path (exit 124) before anything runs, like a malformed option value. *)
+let check_region_sizes spec sizes =
+  let nodes = Graph.node_count (Topology.build (Prng.create 0) spec) in
+  match List.find_opt (fun k -> k < 1 || k > nodes - 1) sizes with
+  | None -> `Ok sizes
+  | Some k ->
+      `Error
+        ( true,
+          Format.asprintf "region size %d is outside [1, %d] on %a" k (nodes - 1)
+            Topology.pp_spec spec )
+
 let region_size_arg =
-  Arg.(
-    value
-    & opt int 3
-    & info [ "k"; "region-size" ] ~docv:"K" ~doc:"Crashed region size in nodes.")
+  let k =
+    Arg.(
+      value
+      & opt int 3
+      & info [ "k"; "region-size" ] ~docv:"K" ~doc:"Crashed region size in nodes.")
+  in
+  let sizes spec k = check_region_sizes spec [ k ] in
+  Term.(const List.hd $ ret (const sizes $ topology_arg $ k))
 
 let cascade_arg =
   Arg.(
@@ -262,10 +279,13 @@ let sweep_cmd =
     0
   in
   let sizes_arg =
-    Arg.(
-      value
-      & opt (list int) [ 1; 2; 4; 8 ]
-      & info [ "sizes" ] ~docv:"K1,K2,..." ~doc:"Region sizes to sweep.")
+    let sizes =
+      Arg.(
+        value
+        & opt (list int) [ 1; 2; 4; 8 ]
+        & info [ "sizes" ] ~docv:"K1,K2,..." ~doc:"Region sizes to sweep.")
+    in
+    Term.(ret (const check_region_sizes $ topology_arg $ sizes))
   in
   Cmd.v
     (Cmd.info "sweep" ~doc:"Sweep the crashed-region size and tabulate costs.")

@@ -24,9 +24,6 @@ type reader
 
 val reader : string -> reader
 
-val at_end : reader -> bool
-(** Whether every byte has been consumed. *)
-
 val expect_end : reader -> unit
 (** @raise Decode_error when trailing bytes remain. *)
 
@@ -51,10 +48,6 @@ val write_string : writer -> string -> unit
 (** Varint length prefix followed by the raw bytes. *)
 
 val read_string : reader -> string
-
-val write_list : writer -> ('a -> unit) -> 'a list -> unit
-(** Varint count followed by the elements; the element writer is
-    expected to close over the same {!writer}. *)
 
 val read_list : reader -> (unit -> 'a) -> 'a list
 

@@ -33,8 +33,6 @@ val add_edge : Node_id.t -> Node_id.t -> t -> t
 val of_edges : (int * int) list -> t
 (** Builds a stored graph from raw integer edges. *)
 
-val of_edge_ids : (Node_id.t * Node_id.t) list -> t
-
 val implicit :
   n:int ->
   degree:(int -> int) ->

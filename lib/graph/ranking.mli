@@ -25,9 +25,6 @@ val compare_with :
     on equal sets); size and border-size remain the primary keys, which
     is what makes the ranking subsume strict inclusion. *)
 
-val default_tiebreak : Node_set.t -> Node_set.t -> int
-(** The lexicographic order used by {!compare}. *)
-
 val lower : Graph.t -> Node_set.t -> Node_set.t -> bool
 (** [lower g r s] is the paper's [r ≺ s]. *)
 

@@ -110,6 +110,9 @@ val spec_of_string : string -> (spec, string) result
     ["torus:8x8"], ["er:200:0.05"], ["ws:100:6:0.1"], ["ba:150:3"],
     ["geo:100:0.15"], ["complete:30"], ["star:20"], ["path:50"],
     ["tree:63"] — and the implicit families ["iring:1000000"],
-    ["itorus:1000x1000"], ["igeo:100000:0.01"], ["iplaw:100000"]. *)
+    ["itorus:1000x1000"], ["igeo:100000:0.01"], ["iplaw:100000"].
+    Parameters outside the family's bounds (the ones its builder raises
+    on, e.g. ["ring:2"] or ["er:10:1.5"]) are an [Error] too, so a spec
+    that parses always builds. *)
 
 val pp_spec : Format.formatter -> spec -> unit

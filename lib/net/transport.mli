@@ -41,10 +41,6 @@ val default_policy : policy
     enough retries that even a 50% loss rate stalls a channel with
     probability ~2{^-31}. *)
 
-val validate_policy : policy -> (policy, string) result
-(** Rejects non-finite/non-positive [rto], [backoff < 1], a cap below
-    [rto], and negative [max_retries]. *)
-
 type channel =
   | Reliable  (** the paper's assumption, granted by construction *)
   | Raw_faulty of Faults.t

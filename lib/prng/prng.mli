@@ -60,9 +60,6 @@ val choose_array : t -> 'a array -> 'a
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
 
-val shuffle_list : t -> 'a list -> 'a list
-(** Functional shuffle of a list. *)
-
 val sample : t -> int -> 'a list -> 'a list
 (** [sample t k xs] draws [k] distinct elements (order randomized).
     @raise Invalid_argument if [k] exceeds the length of [xs]. *)

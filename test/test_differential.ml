@@ -32,21 +32,11 @@ module Fault_gen = Cliffedge_workload.Fault_gen
 module Protocol_ref = Cliffedge_baseline.Protocol_ref
 module Obs = Cliffedge_obs
 
-(* One random lossy scenario per seed, in the style of the ARQ
-   end-to-end suite: small mixed topologies, a connected crashed
-   region, loss up to 30% with duplication and bounded reordering, and
-   the early-stopping flag itself randomized so both the base protocol
+(* The lossy ARQ channel and early-stopping flag shared by both
+   scenario families: loss up to 30% with duplication and bounded
+   reordering, and the flag itself randomized so both the base protocol
    and the footnote-6 fast path are exercised. *)
-let scenario_of_seed seed =
-  let rng = Prng.create seed in
-  let graph =
-    Prng.choose rng
-      [ Topology.ring 12; Topology.ring 16; Topology.torus 4 4; Topology.grid 4 5 ]
-  in
-  let size = 1 + Prng.int rng 3 in
-  let crashes =
-    Fault_gen.crash_at 10.0 (Fault_gen.connected_region rng graph ~size)
-  in
+let lossy_run rng ~seed graph crashes =
   let plan =
     { Faults.drop = Prng.float rng 0.3; dup = Prng.float rng 0.1;
       reorder = Prng.int rng 3; cuts = [] }
@@ -63,6 +53,38 @@ let scenario_of_seed seed =
   in
   (graph, crashes, early_stopping, options)
 
+(* One random lossy scenario per seed, in the style of the ARQ
+   end-to-end suite: small mixed topologies and a connected crashed
+   region of 1-3 nodes. *)
+let scenario_of_seed seed =
+  let rng = Prng.create seed in
+  let graph =
+    Prng.choose rng
+      [ Topology.ring 12; Topology.ring 16; Topology.torus 4 4; Topology.grid 4 5 ]
+  in
+  let size = 1 + Prng.int rng 3 in
+  let crashes =
+    Fault_gen.crash_at 10.0 (Fault_gen.connected_region rng graph ~size)
+  in
+  lossy_run rng ~seed graph crashes
+
+(* Cascades on a torus, the shape of the torus-cascade benchmark: a
+   seed region of 1-4 nodes, then 2-6 border crashes 5 time units
+   apart, so crashes land while the border is still agreeing and
+   deliveries carry piggybacked rejectors that excuse several awaited
+   nodes at once. *)
+let cascade_scenario_of_seed seed =
+  let rng = Prng.create seed in
+  let graph = Prng.choose rng [ Topology.torus 5 5; Topology.torus 6 6 ] in
+  let seed_region =
+    Fault_gen.connected_region rng graph ~size:(1 + Prng.int rng 4)
+  in
+  let crashes, _ =
+    Fault_gen.cascade rng graph ~seed_region ~depth:(2 + Prng.int rng 5)
+      ~start:10.0 ~interval:5.0
+  in
+  lossy_run rng ~seed graph crashes
+
 let replay ~make (graph, crashes, options) =
   Runner.run_stepper ~options ~graph ~crashes ~make ()
 
@@ -73,8 +95,7 @@ let decision_repr d =
 
 let jsonl_of outcome = Obs.Export.jsonl (Obs.Log.to_list outcome.Runner.obs)
 
-let check_seed seed =
-  let graph, crashes, early_stopping, options = scenario_of_seed seed in
+let check_scenario seed (graph, crashes, early_stopping, options) =
   let cfg =
     Protocol.config ~early_stopping ~graph
       ~propose_value:Scenario.default_propose ()
@@ -121,7 +142,14 @@ let prop_flat_matches_oracle =
     ~name:"flat core = reference oracle (decisions + causal log), lossy ARQ"
     ~count:200
     QCheck2.Gen.(int_range 0 1_000_000)
-    check_seed
+    (fun seed -> check_scenario seed (scenario_of_seed seed))
+
+(* Fixed seeds rather than a per-run qcheck draw, so the number of
+   multi-removal deliveries this case drives is reproducible. *)
+let test_torus_cascades () =
+  for seed = 0 to 39 do
+    ignore (check_scenario seed (cascade_scenario_of_seed seed))
+  done
 
 (* Deterministic anchor: the standard micro-suite scenario (ring:32,
    adjacent pair crash) through both machines, so a drift shows up even
@@ -155,4 +183,5 @@ let suite =
     [
       Alcotest.test_case "ring32 anchor scenario" `Quick test_fixed_scenario;
       QCheck_alcotest.to_alcotest ~long:true prop_flat_matches_oracle;
+      Alcotest.test_case "torus cascades over lossy ARQ" `Quick test_torus_cascades;
     ] )

@@ -130,6 +130,53 @@ let test_spec_rejects_garbage () =
       | Ok _ -> Alcotest.failf "should not parse: %s" s)
     [ ""; "ring"; "ring:x"; "grid:3"; "unknown:3"; "er:10"; "torus:3x" ]
 
+(* Every spec that parses must build: [spec_of_string] applies the same
+   bounds the builders raise on.  Sweeps each family's integer
+   parameters over -1..12 (and its float parameter over in- and
+   out-of-range values), so both sides of every bound are exercised. *)
+let test_spec_bounds_match_builders () =
+  let sizes = List.init 14 (fun i -> i - 1) in
+  let floats = [ -0.5; 0.0; 0.3; 1.0; 1.5 ] in
+  let ints f = List.map f sizes in
+  let pairs f = List.concat_map (fun a -> List.map (f a) sizes) sizes in
+  let with_floats f = List.concat_map (fun x -> List.map (f x) floats) sizes in
+  let specs =
+    List.concat
+      [
+        ints (Printf.sprintf "ring:%d");
+        ints (Printf.sprintf "path:%d");
+        ints (Printf.sprintf "complete:%d");
+        ints (Printf.sprintf "star:%d");
+        ints (Printf.sprintf "tree:%d");
+        ints (Printf.sprintf "iring:%d");
+        ints (Printf.sprintf "iplaw:%d");
+        pairs (Printf.sprintf "grid:%dx%d");
+        pairs (Printf.sprintf "torus:%dx%d");
+        pairs (Printf.sprintf "itorus:%dx%d");
+        pairs (Printf.sprintf "ba:%d:%d");
+        with_floats (Printf.sprintf "er:%d:%g");
+        with_floats (Printf.sprintf "geo:%d:%g");
+        with_floats (Printf.sprintf "igeo:%d:%g");
+        List.concat_map
+          (fun beta -> pairs (fun n k -> Printf.sprintf "ws:%d:%d:%g" n k beta))
+          floats;
+      ]
+  in
+  let accepted = ref 0 and rejected = ref 0 in
+  List.iter
+    (fun s ->
+      match Topology.spec_of_string s with
+      | Error _ -> incr rejected
+      | Ok spec -> (
+          incr accepted;
+          match Topology.build (rng ()) spec with
+          | _ -> ()
+          | exception Invalid_argument msg ->
+              Alcotest.failf "%s parses but does not build: %s" s msg))
+    specs;
+  Alcotest.(check bool) "some specs accepted" true (!accepted > 0);
+  Alcotest.(check bool) "some specs rejected" true (!rejected > 0)
+
 let suite =
   ( "topology",
     [
@@ -149,4 +196,6 @@ let suite =
       Alcotest.test_case "bad arguments" `Quick test_bad_arguments;
       Alcotest.test_case "spec roundtrip" `Quick test_spec_roundtrip;
       Alcotest.test_case "spec rejects garbage" `Quick test_spec_rejects_garbage;
+      Alcotest.test_case "spec bounds match builders" `Quick
+        test_spec_bounds_match_builders;
     ] )

@@ -10,8 +10,8 @@
 
    - {e shared-mutable roots} are top-level bindings whose initializer
      allocates mutable state outside any lambda ([ref], [Hashtbl.create],
-     [Buffer.create], [Bytes.*], [Array.make]/[init], [Arena.create],
-     [Prng.create], ...).  A binding like [let table = Hashtbl.create 16]
+     [Buffer.create], [Bytes.*], [Array.make]/[init], [Prng.create],
+     ...).  A binding like [let table = Hashtbl.create 16]
      is one heap object shared by every caller — and by every domain.
      Ambient process state counts too: the global [Random] state and
      the stdout/stderr print family.
@@ -21,9 +21,9 @@
    - {e domain-safe} roots are shared but either immutable after
      initialization (annotate the binding [@lint.domain_safe]) or
      confined behind an ownership boundary: a callee annotated
-     [@lint.domain_guard] (the arena checkout/release pair) promises
-     that whatever it hands out is exclusively owned until returned,
-     so propagation is cut at guard functions.
+     [@lint.domain_guard] (e.g. a checkout/release pair over a pool)
+     promises that whatever it hands out is exclusively owned until
+     returned, so propagation is cut at guard functions.
 
    The root-set of each function is solved as a fixpoint over
    {!Fixpoint.String_set_lattice} (direct touches joined with
@@ -72,7 +72,6 @@ let allocator_pairs =
     ("Buffer", "create");
     ("Queue", "create");
     ("Stack", "create");
-    ("Arena", "create");
     ("Log", "create");
     ("Stats", "create");
     ("Prng", "create");
